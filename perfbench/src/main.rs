@@ -140,6 +140,9 @@ fn main() {
     }
     for (name, ok) in &report.checks {
         println!("check {}: {name}", if *ok { "ok" } else { "FAILED" });
+        if !ok {
+            eprintln!("perfbench: check FAILED: {name}");
+        }
     }
     println!(
         "params_hash={:#018x} workload={} seed={}",
@@ -313,7 +316,8 @@ fn check_training(report: &mut Report, spec: &Spec, sizes: &Sizes, seed: u64, ru
         // window (none is expected) may add a few bytes.
         let framed = (payload + messages * DATA_HEADER_BYTES as u64) * run.steps;
         report.notes.push(format!(
-            "tcp bytes/step/rank measured={} expected={} (payload {} + {} frames x {DATA_HEADER_BYTES} B)",
+            "tcp bytes/step/rank measured={} expected={} (payload {} + {} frames x {DATA_HEADER_BYTES} B); \
+             over the timed steps measured={socket} expected={framed}",
             socket / run.steps.max(1) / WORLD as u64,
             framed / run.steps.max(1) / WORLD as u64,
             payload / WORLD as u64,

@@ -16,6 +16,7 @@ use dear_core::{
 use dear_minidnn::{
     softmax_cross_entropy, Adam, BlobDataset, Linear, Optimizer, Relu, Sequential, Sgd, Tensor,
 };
+use dear_net::frame::DATA_HEADER_BYTES;
 use dear_net::{hash_params, tcp_loopback, ShmEndpoint, ShmFabric, TcpEndpoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -269,7 +270,28 @@ pub trait Endpoint: Transport + Send + Sync + Sized + 'static {
     fn socket_counters(&self) -> Option<(u64, u64)> {
         None
     }
+
+    /// [`Endpoint::socket_counters`] once every frame handed to the
+    /// endpoint so far (`handed`: payload bytes and messages) is counted.
+    /// A writer thread counts a frame after its write returns, so the peer
+    /// can receive the last frame before the count includes it; reading
+    /// at once would miss it. Gives up after `SETTLE_TIMEOUT`, leaving the
+    /// shortfall for the traffic check to report.
+    fn settled_socket_counters(&self, handed: (u64, u64)) -> Option<(u64, u64)> {
+        let framed = handed.0 + handed.1 * DATA_HEADER_BYTES as u64;
+        let deadline = Instant::now() + SETTLE_TIMEOUT;
+        loop {
+            let now = self.socket_counters()?;
+            if now.0 >= framed || Instant::now() >= deadline {
+                return Some(now);
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
 }
+
+/// How long a socket counter may lag the frames handed to its endpoint.
+const SETTLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Endpoint for TcpEndpoint {
     fn create_pair() -> Vec<Self> {
@@ -484,9 +506,10 @@ fn run_on<T: Endpoint>(spec: &Spec, seed: u64, plan: &RunPlan) -> RunResult {
                                 dear_core::trace::set_enabled(true);
                             }
                             gate.wait();
-                            let payload0 =
-                                (bytes.load(Ordering::Relaxed), msgs.load(Ordering::Relaxed));
-                            let socket0 = ep.socket_counters();
+                            let handed =
+                                || (bytes.load(Ordering::Relaxed), msgs.load(Ordering::Relaxed));
+                            let payload0 = handed();
+                            let socket0 = ep.settled_socket_counters(payload0);
                             let t0 = Instant::now();
                             out.step_ms.reserve(plan.steps as usize);
                             for batch in &batches[warmup as usize..] {
@@ -500,12 +523,10 @@ fn run_on<T: Endpoint>(spec: &Spec, seed: u64, plan: &RunPlan) -> RunResult {
                             if plan.traced && rank == 0 {
                                 dear_core::trace::set_enabled(false);
                             }
-                            out.payload = (
-                                bytes.load(Ordering::Relaxed) - payload0.0,
-                                msgs.load(Ordering::Relaxed) - payload0.1,
-                            );
+                            let payload1 = handed();
+                            out.payload = (payload1.0 - payload0.0, payload1.1 - payload0.1);
                             out.socket = ep
-                                .socket_counters()
+                                .settled_socket_counters(payload1)
                                 .zip(socket0)
                                 .map(|(a, b)| (a.0 - b.0, a.1 - b.1));
                         }
