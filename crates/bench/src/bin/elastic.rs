@@ -90,7 +90,6 @@ fn prepare_stores(dir: &std::path::Path, steps: u64) {
     std::thread::scope(|s| {
         for ep in endpoints {
             let data = &data;
-            let config = config.clone();
             s.spawn(move || {
                 let rank = ep.rank();
                 run_worker(ep, config, |handle| {
@@ -132,7 +131,6 @@ fn one_restart(dir: &std::path::Path) -> (Duration, Duration) {
     std::thread::scope(|s| {
         for ep in endpoints {
             let data = &data;
-            let config = config.clone();
             s.spawn(move || {
                 let rank = ep.rank();
                 let store = CheckpointStore::new(dir, rank).expect("store");

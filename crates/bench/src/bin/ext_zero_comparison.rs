@@ -48,7 +48,7 @@ fn measure(strategy: &ParallelismStrategy) -> Vec<(f64, usize, Vec<f32>)> {
         lr: 0.05,
         momentum: 0.9,
         fusion_buffer: Some(2048),
-        strategy: strategy.clone(),
+        strategy: *strategy,
         ..TrainConfig::default()
     };
     let data = BlobDataset::new(6, 3, 0.4, 99);
@@ -57,7 +57,6 @@ fn measure(strategy: &ParallelismStrategy) -> Vec<(f64, usize, Vec<f32>)> {
             .into_iter()
             .map(|ep| {
                 let data = &data;
-                let config = config.clone();
                 s.spawn(move || {
                     let rank = ep.rank();
                     run_worker(ep, config, move |handle| {
@@ -70,13 +69,17 @@ fn measure(strategy: &ParallelismStrategy) -> Vec<(f64, usize, Vec<f32>)> {
                                 t0 = Instant::now();
                             }
                             let (x, labels) = data.shard(step, 8 * WORLD, rank, WORLD);
-                            optim.train_step_or_panic(&mut net, &x, &labels);
+                            optim
+                                .train_step(&mut net, &x, &labels)
+                                .expect("collective failed during training step");
                             if step + 1 == STEPS {
                                 measured =
                                     t0.elapsed().as_secs_f64() * 1e3 / (STEPS - WARMUP) as f64;
                             }
                         }
-                        optim.synchronize_or_panic(&mut net);
+                        optim
+                            .synchronize(&mut net)
+                            .expect("collective failed during synchronize");
                         let bytes = optim.optim_state_bytes();
                         (measured, bytes, net.flat_params())
                     })

@@ -5,10 +5,10 @@
 //!
 //! - **Per-tier α-β fits** from the same ping-pong probe the runtime uses
 //!   ([`probe_alpha_beta`]): the measured startup latency and per-byte
-//!   cost of a shm ring hop vs a kernel socket hop on one machine.
+//!   cost of a shm queue hop vs a kernel socket hop on one machine.
 //! - **Ring all-reduce sweep, 1 KB → 25 MB** over a 4-rank world on each
 //!   transport. Both worlds run the identical collective code — the gap
-//!   is purely the transport (lock-free rings vs serialize + syscall +
+//!   is purely the transport (in-process queues vs serialize + syscall +
 //!   copy through the loopback stack).
 
 use std::fmt::Write as _;

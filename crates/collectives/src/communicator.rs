@@ -2,6 +2,7 @@
 //! and the `run_cluster` harness that spawns one thread per rank.
 
 use crate::error::CollectiveError;
+use crate::fabric::{LocalEndpoint, LocalFabric};
 use crate::hierarchical::{hierarchical_all_reduce_seg, ClusterShape};
 use crate::reduce::ReduceOp;
 use crate::rhd::rhd_all_reduce_seg;
@@ -9,7 +10,7 @@ use crate::ring::{
     ring_all_gather_seg, ring_all_reduce_seg, ring_owned_chunk, ring_reduce_scatter_seg,
 };
 use crate::segment::SegmentConfig;
-use crate::transport::{LocalEndpoint, LocalFabric, Transport};
+use crate::transport::Transport;
 use crate::tree::{
     double_tree_all_reduce_seg, naive_all_reduce_seg, tree_broadcast_seg, tree_reduce_seg,
 };

@@ -5,9 +5,12 @@
 //! the same collective algorithms, runnable on real data over an in-process
 //! multi-threaded fabric, plus α-β cost models for simulation:
 //!
-//! - [`Transport`] / [`LocalFabric`] / [`DelayFabric`] / [`GroupTransport`]:
-//!   point-to-point messaging between ranks (threads), optionally with
-//!   injected network-like delays.
+//! - [`Transport`] / [`DelayFabric`] / [`GroupTransport`]: point-to-point
+//!   messaging between ranks, optionally with injected network-like delays.
+//! - [`LocalFabric`]: the one in-process fabric — a blocking, unbounded
+//!   queue per directed pair of rank threads, with generation stamps,
+//!   graceful departure, an optional failure detector and in-place resize.
+//!   `dear-net`'s shared-memory tier is this fabric plus a heartbeat.
 //! - [`ring_reduce_scatter`] / [`ring_all_gather`] / [`ring_all_reduce`]:
 //!   the decomposition DeAR exploits — `AR = RS ∘ AG` with identical cost
 //!   halves (paper Eqs. 3–5).
@@ -51,6 +54,7 @@ mod communicator;
 mod compress;
 mod cost;
 mod error;
+mod fabric;
 mod hierarchical;
 mod obs;
 mod reduce;
@@ -73,6 +77,7 @@ pub use cost::{CostModel, NetworkPreset};
 pub use error::CollectiveError;
 pub use obs::{set_collective_span_hook, CollectiveSpanFn};
 
+pub use fabric::{FabricOptions, LocalEndpoint, LocalFabric};
 pub use hierarchical::{
     hierarchical_all_gather_phase, hierarchical_all_gather_phase_placed_seg,
     hierarchical_all_gather_phase_seg, hierarchical_all_reduce, hierarchical_all_reduce_placed_seg,
@@ -88,9 +93,7 @@ pub use ring::{
 };
 pub use segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 pub use topology::{CommPattern, HostMap, Placement, Topology};
-pub use transport::{
-    DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message, Transport, WorldChange,
-};
+pub use transport::{BufferPool, DelayFabric, GroupTransport, Message, Transport, WorldChange};
 pub use tree::{
     double_tree_all_reduce, double_tree_all_reduce_seg, double_tree_broadcast_phase,
     double_tree_broadcast_phase_seg, double_tree_reduce_phase, double_tree_reduce_phase_seg,

@@ -4,9 +4,10 @@
 //! A monolithic ring step serializes its whole `d/P` chunk onto the wire
 //! before the receiver can start reducing. With segmentation the chunk is
 //! cut into `max_segment_bytes` slices: the sender queues every slice up
-//! front (sends never block on the in-process fabrics), so while the
-//! receiver reduces segment `k` the link is already serializing segment
-//! `k+1`. Per step the cost drops from `α + c·β + c·γ` towards
+//! front (so a transport's send must never wait on the peer's receives:
+//! every rank sends a whole step before receiving), and while the receiver
+//! reduces segment `k` the link is already serializing segment `k+1`.
+//! Per step the cost drops from `α + c·β + c·γ` towards
 //! `S·α + c·β + (c/S)·γ` — the serialization delay of later segments hides
 //! behind the reduction of earlier ones (see [`crate::CostModel`]'s
 //! segmented predictions).
@@ -134,9 +135,11 @@ impl SegmentConfig {
 
 /// Sends `src` to `to` as the segments of `seg`, encoding each segment to
 /// the configured wire dtype (cast-on-send; bit-exact for `f32`) into a
-/// byte buffer taken from the transport's pool. All segments are queued
-/// before returning, so on a deliver-at fabric the link starts serializing
-/// them back-to-back.
+/// byte buffer taken from the transport's pool. All segments are handed to
+/// the transport before returning, so on a deliver-at fabric the link
+/// starts serializing them back-to-back. No transport makes this wait for
+/// the peer's receives: the in-process fabric's queues are unbounded, and
+/// the TCP outboxes drain to the socket whether or not the peer receives.
 ///
 /// On a narrow wire the sender's `src` is **rounded in place** to the wire
 /// values first ([`crate::wire::round_to_wire`] semantics, fused into the
@@ -232,7 +235,7 @@ pub fn recv_segmented_copy<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LocalFabric;
+    use crate::fabric::LocalFabric;
 
     #[test]
     fn monolithic_split_is_one_range() {

@@ -1,6 +1,6 @@
 //! Test-only helpers shared across modules.
 
-use crate::transport::{LocalEndpoint, LocalFabric};
+use crate::fabric::{LocalEndpoint, LocalFabric};
 
 /// Runs `f` on every rank of a `world`-sized local fabric, collecting
 /// per-rank results in rank order.

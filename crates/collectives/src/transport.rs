@@ -1,19 +1,17 @@
 //! Point-to-point transports that collective algorithms run on.
 //!
-//! The paper's system uses NCCL over physical NICs; here the substitute is an
-//! in-process fabric — every worker is an OS thread, and messages travel over
-//! unbounded channels. [`DelayFabric`] additionally injects α-β wall-clock
-//! delays so that real runs exhibit network-like timing.
+//! The paper's system uses NCCL over physical NICs; here the substitute is
+//! the in-process [`LocalFabric`](crate::LocalFabric) — every worker is an
+//! OS thread, and messages travel over blocking, unbounded queues.
+//! [`DelayFabric`] additionally injects α-β wall-clock delays so that real
+//! runs exhibit network-like timing.
 
-use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
-
 use crate::cost::CostModel;
 use crate::error::CollectiveError;
-use crate::wire::{DType, WireBuf};
+use crate::wire::WireBuf;
 
 /// A payload travelling between ranks: a dtype-tagged byte buffer
 /// ([`WireBuf`]), optionally stamped with the wall-clock instant at which
@@ -176,7 +174,7 @@ pub struct WorldChange {
 ///
 /// Implementations must be usable from one thread per rank; `send` must not
 /// block indefinitely when the peer has not yet posted a receive (the
-/// in-process fabrics use unbounded buffering, mirroring eager-protocol MPI).
+/// in-process fabric buffers without bound, mirroring eager-protocol MPI).
 pub trait Transport {
     /// This endpoint's rank in `0..world_size()`.
     fn rank(&self) -> usize;
@@ -275,304 +273,60 @@ pub trait Transport {
     }
 }
 
-/// Buffers kept per endpoint; bounds pool memory at roughly
+/// Buffers a [`BufferPool`] keeps; bounds pool memory at roughly
 /// `POOL_CAP × largest-segment` bytes.
 const POOL_CAP: usize = 64;
 
-/// Marker payload of the local fabric's resize flush handshake (see
-/// [`LocalEndpoint`]'s `reconfigure`). Opaque bytes that no collective
-/// emits as data.
-const LOCAL_RESIZE_MARKER: &[u8] = b"dear.local.resize.flush/1";
-
-/// One rank's endpoint of a [`LocalFabric`].
-pub struct LocalEndpoint {
-    rank: usize,
-    world: usize,
-    /// `senders[to]` carries messages from this rank to `to`.
-    senders: Vec<Option<Sender<Message>>>,
-    /// `receivers[from]` carries messages from `from` to this rank.
-    receivers: Vec<Option<Receiver<Message>>>,
-    /// Reusable wire-byte buffers. Ring rounds are symmetric (each received
-    /// payload is recycled here and each send takes one out), so the pool
-    /// reaches a steady state after the first round and sends stop
-    /// allocating.
-    pool: Mutex<Vec<Vec<u8>>>,
-    /// Optional deadline applied to every `recv` (see
-    /// [`Transport::set_recv_timeout`]).
-    recv_timeout: Mutex<Option<Duration>>,
-    /// `marker_seen[from]` latches once `from`'s resize flush marker has
-    /// been received — whether by the reconfigure drain or by a still-
-    /// failing collective that consumed it as if it were data. Once set,
-    /// receives from that peer abort fast (the peer has left this world's
-    /// incarnation) and the drain knows not to wait for a second marker.
-    /// Reset to the new world size by a successful `reconfigure`.
-    marker_seen: Mutex<Vec<bool>>,
+/// The reusable wire-byte pool behind [`Transport::take_buffer`] and
+/// [`Transport::recycle_buffer`]. Ring rounds are symmetric (each received
+/// payload is recycled and each send takes one out), so the pool reaches a
+/// steady state after the first round and sends stop allocating. Buffers
+/// over the pool's per-buffer cap are shrunk on return, so retained memory
+/// decays back to the cap after an outsized collective.
+pub struct BufferPool {
+    bufs: Mutex<Vec<Vec<u8>>>,
+    max_buf_bytes: usize,
 }
 
-impl fmt::Debug for LocalEndpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LocalEndpoint")
-            .field("rank", &self.rank)
-            .field("world", &self.world)
-            .finish()
-    }
-}
+impl BufferPool {
+    /// Default per-buffer capacity cap: holds any sensible segment, while
+    /// a one-off giant collective does not pin its high-water allocation
+    /// for the rest of the run.
+    pub const DEFAULT_MAX_BUF_BYTES: usize = 4 << 20;
 
-/// A shared-memory fabric connecting `world` in-process ranks.
-///
-/// # Examples
-///
-/// ```
-/// use dear_collectives::{LocalFabric, Transport};
-///
-/// let mut eps = LocalFabric::create(2);
-/// let b = eps.pop().unwrap();
-/// let a = eps.pop().unwrap();
-/// std::thread::scope(|s| {
-///     s.spawn(|| a.send(1, vec![1.0, 2.0].into()).unwrap());
-///     s.spawn(|| assert_eq!(b.recv(0).unwrap(), vec![1.0, 2.0]));
-/// });
-/// ```
-#[derive(Debug)]
-pub struct LocalFabric;
-
-impl LocalFabric {
-    /// Creates endpoints for `world` ranks; element `r` belongs to rank `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world == 0`.
+    /// An empty pool that keeps buffers of at most `max_buf_bytes`
+    /// capacity (at least 1).
     #[must_use]
-    pub fn create(world: usize) -> Vec<LocalEndpoint> {
-        assert!(world > 0, "world size must be positive");
-        // channels[from][to]
-        let mut senders: Vec<Vec<Option<Sender<Message>>>> = (0..world)
-            .map(|_| (0..world).map(|_| None).collect())
-            .collect();
-        let mut receivers: Vec<Vec<Option<Receiver<Message>>>> = (0..world)
-            .map(|_| (0..world).map(|_| None).collect())
-            .collect();
-        for from in 0..world {
-            for to in 0..world {
-                if from == to {
-                    continue;
-                }
-                let (tx, rx) = unbounded();
-                senders[from][to] = Some(tx);
-                receivers[to][from] = Some(rx);
-            }
-        }
-        senders
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(rank, (senders, receivers))| LocalEndpoint {
-                rank,
-                world,
-                senders,
-                receivers,
-                pool: Mutex::new(Vec::new()),
-                recv_timeout: Mutex::new(None),
-                marker_seen: Mutex::new(vec![false; world]),
-            })
-            .collect()
-    }
-}
-
-impl Transport for LocalEndpoint {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.world
-    }
-
-    fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
-        self.check_peer(to)?;
-        self.senders[to]
-            .as_ref()
-            .expect("validated peer has a channel")
-            .send(msg)
-            .map_err(|_| CollectiveError::Disconnected { peer: to })
-    }
-
-    fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
-        self.check_peer(from)?;
-        // A peer whose resize marker has already been seen has abandoned
-        // this incarnation of the world: it sends nothing further until the
-        // resize completes, so any collective still receiving from it can
-        // only fail. Abort immediately instead of waiting out the deadline.
-        if self.marker_seen.lock().expect("marker latch poisoned")[from] {
-            return Err(CollectiveError::Aborted { peer: from });
-        }
-        let rx = self.receivers[from]
-            .as_ref()
-            .expect("validated peer has a channel");
-        let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
-        let msg = match timeout {
-            None => rx
-                .recv()
-                .map_err(|_| CollectiveError::Disconnected { peer: from }),
-            Some(dl) => rx.recv_timeout(dl).map_err(|e| match e {
-                crossbeam_channel::RecvTimeoutError::Timeout => CollectiveError::Timeout {
-                    peer: from,
-                    millis: dl.as_millis() as u64,
-                },
-                crossbeam_channel::RecvTimeoutError::Disconnected => {
-                    CollectiveError::Disconnected { peer: from }
-                }
-            }),
-        }?;
-        // A still-failing collective can pull the flush marker off the
-        // channel before the reconfigure drain runs. Latch it so the drain
-        // (and every later pre-resize receive) knows, and fail this
-        // collective — the marker means the peer has moved on.
-        let p = msg.payload();
-        if p.dtype() == DType::U8 && p.bytes() == LOCAL_RESIZE_MARKER {
-            self.marker_seen.lock().expect("marker latch poisoned")[from] = true;
-            return Err(CollectiveError::Aborted { peer: from });
-        }
-        Ok(msg)
-    }
-
-    fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
-        *self.recv_timeout.lock().expect("recv timeout poisoned") = timeout;
-        true
-    }
-
-    fn take_buffer(&self, capacity_bytes: usize) -> Vec<u8> {
-        let mut pool = self.pool.lock().expect("buffer pool poisoned");
-        match pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.reserve(capacity_bytes);
-                buf
-            }
-            None => Vec::with_capacity(capacity_bytes),
+    pub fn new(max_buf_bytes: usize) -> BufferPool {
+        BufferPool {
+            bufs: Mutex::new(Vec::new()),
+            max_buf_bytes: max_buf_bytes.max(1),
         }
     }
 
-    fn recycle_buffer(&self, buf: Vec<u8>) {
+    /// An empty buffer of at least `capacity_bytes`, reused when possible.
+    #[must_use]
+    pub fn take(&self, capacity_bytes: usize) -> Vec<u8> {
+        let reused = self.bufs.lock().expect("buffer pool poisoned").pop();
+        let mut buf = reused.unwrap_or_default();
+        buf.clear();
+        buf.reserve(capacity_bytes);
+        buf
+    }
+
+    /// Returns `buf` to the pool, shrinking it to the cap first.
+    pub fn recycle(&self, mut buf: Vec<u8>) {
         if buf.capacity() == 0 {
             return;
         }
-        let mut pool = self.pool.lock().expect("buffer pool poisoned");
+        if buf.capacity() > self.max_buf_bytes {
+            buf.clear();
+            buf.shrink_to(self.max_buf_bytes);
+        }
+        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
         if pool.len() < POOL_CAP {
             pool.push(buf);
         }
-    }
-
-    /// Shrinks the fabric to `survivors` (global ranks, this rank included):
-    /// surviving channels are renumbered densely in ascending old-rank
-    /// order, dropped peers' channels are closed so any operation they
-    /// attempt reports [`CollectiveError::Disconnected`]. The in-process
-    /// fabric has no failure detector, so the survivor set must be
-    /// explicit — `None` is refused. Growing is likewise refused: new
-    /// in-process ranks would need channel halves this endpoint cannot
-    /// mint alone.
-    ///
-    /// Every survivor must call this **concurrently** with the same list:
-    /// the surviving channels carry a flush handshake (each survivor posts
-    /// a marker, then drains its queues up to every peer's marker), so a
-    /// survivor that resizes early discards a slower peer's abandoned
-    /// in-flight traffic instead of reading it as post-resize data. The
-    /// drain blocks until the peers reconfigure too — set a receive
-    /// timeout ([`Transport::set_recv_timeout`]) to bound that wait. On
-    /// error the handshake may have consumed messages; the endpoint is
-    /// only fit for dropping.
-    fn reconfigure(&mut self, survivors: Option<&[usize]>) -> Result<WorldChange, CollectiveError> {
-        let Some(survivors) = survivors else {
-            return Err(CollectiveError::Reconfigure {
-                reason: "local fabric cannot discover survivors; pass them explicitly".to_string(),
-            });
-        };
-        let mut order: Vec<usize> = survivors.to_vec();
-        order.sort_unstable();
-        order.dedup();
-        if order.len() != survivors.len() {
-            return Err(CollectiveError::Reconfigure {
-                reason: "survivor list contains duplicate ranks".to_string(),
-            });
-        }
-        if order.iter().any(|&g| g >= self.world) {
-            return Err(CollectiveError::Reconfigure {
-                reason: format!("survivor rank out of range for world {}", self.world),
-            });
-        }
-        let Some(new_rank) = order.iter().position(|&g| g == self.rank) else {
-            return Err(CollectiveError::Reconfigure {
-                reason: format!("survivor list omits this endpoint's rank {}", self.rank),
-            });
-        };
-        // Flush handshake, still under the old numbering: post a marker to
-        // every surviving peer, then drain each queue up to that peer's
-        // marker. Channels are FIFO, so everything a peer sent before its
-        // marker — the abandoned step's in-flight payloads — is discarded
-        // here, and a reconfiguring peer sends nothing else until its own
-        // call returns. (The marker is an opaque-byte payload no collective
-        // produces; gradient traffic is element-typed.)
-        let marker = || {
-            Message::new(
-                WireBuf::from_raw(DType::U8, LOCAL_RESIZE_MARKER.to_vec())
-                    .expect("u8 payloads have no alignment requirement"),
-            )
-        };
-        let reconf = |e: CollectiveError| CollectiveError::Reconfigure {
-            reason: format!("resize flush handshake failed: {e}"),
-        };
-        for &g in &order {
-            if g != self.rank {
-                self.send(g, marker()).map_err(reconf)?;
-            }
-        }
-        // The drain doubles as a barrier: it waits for every listed
-        // survivor to enter its own reconfigure, however long that rank's
-        // failure detection takes, so the configured receive deadline must
-        // not apply (a survivor that actually died surfaces as
-        // `Disconnected` when its endpoint drops). Survivors therefore
-        // leave the resize aligned to within a handshake round-trip.
-        let saved = *self.recv_timeout.lock().expect("recv timeout poisoned");
-        let _ = self.set_recv_timeout(None);
-        let drained = (|| {
-            for &g in &order {
-                if g == self.rank {
-                    continue;
-                }
-                // `recv` latches the marker and reports it as `Aborted`
-                // whether the drain pulls it here or a failing collective
-                // consumed it earlier; either way this peer is flushed.
-                loop {
-                    match self.recv(g) {
-                        Ok(_stale) => {}
-                        Err(CollectiveError::Aborted { .. }) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            Ok(())
-        })();
-        let _ = self.set_recv_timeout(saved);
-        drained.map_err(reconf)?;
-        let old_rank = self.rank;
-        let old_world = self.world;
-        let mut senders = std::mem::take(&mut self.senders);
-        let mut receivers = std::mem::take(&mut self.receivers);
-        // The diagonal (own-rank) slot is `None` and lands on the new
-        // diagonal; dropped peers' halves fall out of scope here, closing
-        // their channels.
-        self.senders = order.iter().map(|&g| senders[g].take()).collect();
-        self.receivers = order.iter().map(|&g| receivers[g].take()).collect();
-        self.rank = new_rank;
-        self.world = order.len();
-        *self.marker_seen.lock().expect("marker latch poisoned") = vec![false; order.len()];
-        Ok(WorldChange {
-            old_rank,
-            old_world,
-            new_rank,
-            new_world: order.len(),
-            generation: 0,
-        })
     }
 }
 
@@ -777,65 +531,30 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::LocalFabric;
     use crate::wire::DType;
 
     #[test]
-    fn local_fabric_delivers_in_order() {
-        let mut eps = LocalFabric::create(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                a.send(1, vec![1.0].into()).unwrap();
-                a.send(1, vec![2.0].into()).unwrap();
-            });
-            s.spawn(|| {
-                assert_eq!(b.recv(0).unwrap(), vec![1.0]);
-                assert_eq!(b.recv(0).unwrap(), vec![2.0]);
-            });
-        });
-    }
-
-    #[test]
-    fn send_to_self_is_invalid() {
-        let eps = LocalFabric::create(2);
-        let err = eps[0].send(0, vec![].into()).unwrap_err();
-        assert!(matches!(err, CollectiveError::InvalidRank { rank: 0, .. }));
-    }
-
-    #[test]
-    fn send_out_of_range_is_invalid() {
-        let eps = LocalFabric::create(2);
-        let err = eps[0].send(5, vec![].into()).unwrap_err();
-        assert!(matches!(
-            err,
-            CollectiveError::InvalidRank { rank: 5, world: 2 }
-        ));
-    }
-
-    #[test]
-    fn recv_from_dropped_peer_reports_disconnect() {
-        let mut eps = LocalFabric::create(2);
-        let b = eps.pop().unwrap();
-        drop(eps); // rank 0's endpoint (and its senders) dropped
-        let err = b.recv(0).unwrap_err();
-        assert!(matches!(err, CollectiveError::Disconnected { peer: 0 }));
-    }
-
-    #[test]
-    fn cross_pair_channels_are_independent() {
-        let mut eps = LocalFabric::create(3);
-        let c = eps.pop().unwrap();
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                a.send(2, vec![9.0].into()).unwrap();
-                a.send(1, vec![7.0].into()).unwrap();
-            });
-            s.spawn(|| assert_eq!(b.recv(0).unwrap(), vec![7.0]));
-            s.spawn(|| assert_eq!(c.recv(0).unwrap(), vec![9.0]));
-        });
+    fn pool_capacity_decays_after_an_outsized_collective() {
+        let pool = BufferPool::new(1024);
+        pool.recycle(Vec::with_capacity(512));
+        let high_water = |p: &BufferPool| {
+            let bufs = p.bufs.lock().unwrap();
+            bufs.iter().map(Vec::capacity).max().unwrap_or(0)
+        };
+        assert_eq!(high_water(&pool), 512);
+        // One giant collective must not pin its high-water allocation in
+        // the pool for the rest of the run.
+        let mut big = pool.take(64 * 1024);
+        big.resize(64 * 1024, 0);
+        pool.recycle(big);
+        assert!(
+            high_water(&pool) <= 1024,
+            "pool retained {} bytes past the 1024-byte cap",
+            high_water(&pool)
+        );
+        // A later large request still gets what it asks for.
+        assert!(pool.take(64 * 1024).capacity() >= 64 * 1024);
     }
 
     #[test]
@@ -911,43 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn local_endpoint_pool_reuses_buffers() {
-        let eps = LocalFabric::create(2);
-        let mut buf = eps[0].take_buffer(16);
-        buf.extend_from_slice(&[1, 2]);
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        eps[0].recycle_buffer(buf);
-        let again = eps[0].take_buffer(8);
-        assert!(again.is_empty());
-        assert_eq!(again.capacity(), cap);
-        assert_eq!(
-            again.as_ptr(),
-            ptr,
-            "pool should hand back the same allocation"
-        );
-    }
-
-    #[test]
-    fn recv_timeout_surfaces_instead_of_hanging() {
-        let eps = LocalFabric::create(2);
-        assert!(eps[0].set_recv_timeout(Some(Duration::from_millis(10))));
-        let err = eps[0].recv(1).unwrap_err();
-        assert_eq!(
-            err,
-            CollectiveError::Timeout {
-                peer: 1,
-                millis: 10
-            }
-        );
-        // Clearing the deadline restores indefinite blocking semantics; a
-        // queued message is still delivered.
-        assert!(eps[0].set_recv_timeout(None));
-        eps[1].send(0, vec![4.0].into()).unwrap();
-        assert_eq!(eps[0].recv(1).unwrap(), vec![4.0]);
-    }
-
-    #[test]
     fn recv_timeout_forwards_through_decorators() {
         let mut eps = LocalFabric::create(2);
         let _b = eps.pop().unwrap();
@@ -1007,112 +689,5 @@ mod tests {
     fn group_transport_rejects_duplicates() {
         let eps = LocalFabric::create(2);
         let _ = GroupTransport::new(&eps[0], Arc::new(vec![0, 0]));
-    }
-
-    #[test]
-    fn local_reconfigure_shrinks_to_dense_ranks() {
-        let mut eps = LocalFabric::create(4);
-        // Drop rank 2; survivors 0,1,3 become dense 0,1,2.
-        let dead = eps.remove(2);
-        drop(dead);
-        let survivors = [0usize, 1, 3];
-        // Concurrent, as the flush handshake requires.
-        let changes: Vec<WorldChange> = std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .iter_mut()
-                .map(|ep| s.spawn(move || ep.reconfigure(Some(&survivors)).unwrap()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(changes[0].new_rank, 0);
-        assert_eq!(changes[1].new_rank, 1);
-        assert_eq!(changes[2].new_rank, 2);
-        assert_eq!(changes[2].old_rank, 3);
-        for (ep, change) in eps.iter().zip(&changes) {
-            assert_eq!(ep.world_size(), 3);
-            assert_eq!(change.new_world, 3);
-            assert_eq!(change.old_world, 4);
-            assert_eq!(ep.rank(), change.new_rank);
-        }
-        // The shrunk fabric still runs a correct all-reduce.
-        std::thread::scope(|s| {
-            for ep in &eps {
-                s.spawn(move || {
-                    let mut data = vec![ep.rank() as f32 + 1.0; 8];
-                    crate::ring::ring_all_reduce(ep, &mut data, crate::ReduceOp::Sum).unwrap();
-                    assert_eq!(data, vec![6.0; 8]); // 1+2+3
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn local_reconfigure_rejects_bad_survivor_sets() {
-        let mut eps = LocalFabric::create(3);
-        let err = eps[0].reconfigure(None).unwrap_err();
-        assert!(matches!(err, CollectiveError::Reconfigure { .. }));
-        let err = eps[0].reconfigure(Some(&[1, 2])).unwrap_err();
-        assert!(
-            matches!(err, CollectiveError::Reconfigure { ref reason } if reason.contains("omits")),
-            "{err}"
-        );
-        let err = eps[0].reconfigure(Some(&[0, 5])).unwrap_err();
-        assert!(
-            matches!(err, CollectiveError::Reconfigure { ref reason } if reason.contains("range")),
-            "{err}"
-        );
-        let err = eps[0].reconfigure(Some(&[0, 1, 1])).unwrap_err();
-        assert!(
-            matches!(err, CollectiveError::Reconfigure { ref reason } if reason.contains("duplicate")),
-            "{err}"
-        );
-        // A failed validation leaves the endpoint untouched.
-        assert_eq!(eps[0].rank(), 0);
-        assert_eq!(eps[0].world_size(), 3);
-    }
-
-    #[test]
-    fn reconfigure_flushes_stale_in_flight_messages() {
-        let mut eps = LocalFabric::create(3);
-        let dead = eps.remove(1);
-        // Abandoned collectives left payloads queued between the survivors
-        // in both directions — post-resize receives must never see them.
-        eps[0].send(2, vec![66.6; 4].into()).unwrap();
-        eps[1].send(0, vec![77.7; 4].into()).unwrap();
-        drop(dead);
-        let survivors = [0usize, 2];
-        std::thread::scope(|s| {
-            for ep in &mut eps {
-                s.spawn(move || ep.reconfigure(Some(&survivors)).unwrap());
-            }
-        });
-        // The first post-resize exchange sees fresh data only.
-        std::thread::scope(|s| {
-            let (a, b) = eps.split_at_mut(1);
-            s.spawn(|| {
-                a[0].send(1, vec![1.0].into()).unwrap();
-                assert_eq!(a[0].recv(1).unwrap(), vec![2.0]);
-            });
-            s.spawn(|| {
-                b[0].send(0, vec![2.0].into()).unwrap();
-                assert_eq!(b[0].recv(0).unwrap(), vec![1.0]);
-            });
-        });
-    }
-
-    #[test]
-    fn dropped_peer_channels_disconnect_after_shrink() {
-        let mut eps = LocalFabric::create(3);
-        let victim = eps.remove(1);
-        let survivors = [0usize, 2];
-        std::thread::scope(|s| {
-            for ep in &mut eps {
-                s.spawn(move || ep.reconfigure(Some(&survivors)).unwrap());
-            }
-        });
-        // The victim's endpoint still thinks it is rank 1 of 3; its
-        // channels to the survivors are gone.
-        let err = victim.send(0, vec![1.0].into()).unwrap_err();
-        assert!(matches!(err, CollectiveError::Disconnected { peer: 0 }));
     }
 }

@@ -22,10 +22,7 @@ pub struct DelayConfig {
 }
 
 /// Training configuration shared by all workers.
-///
-/// Not `Copy`: [`TrainConfig::strategy`] reserves a composed
-/// [`ParallelismStrategy::Hybrid`] variant that owns heap data.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
     pub lr: f32,
@@ -143,7 +140,7 @@ impl WorkerHandle {
     /// The shared training configuration.
     #[must_use]
     pub fn config(&self) -> TrainConfig {
-        self.config.clone()
+        self.config
     }
 
     /// Builds the distributed optimizer for `net` — the `dear.DistOptim`
@@ -153,9 +150,8 @@ impl WorkerHandle {
     /// # Panics
     ///
     /// Panics if the configured strategy cannot run under the configured
-    /// pipeline mode (ZeRO requires DeAR; `Hybrid` is reserved) — reject
-    /// earlier with [`ParallelismStrategy::validate_mode`] for a typed
-    /// error.
+    /// pipeline mode (ZeRO requires DeAR) — reject earlier with
+    /// [`ParallelismStrategy::validate_mode`] for a typed error.
     #[must_use]
     pub fn into_optim(self, net: &Sequential) -> DistOptim {
         if let Err(e) = self.config.strategy.validate_mode(self.config.mode) {
@@ -227,7 +223,7 @@ where
     let hyper = config.hyper();
     let delay = config.delay;
     let segments = config.segments;
-    let strategy = config.strategy.clone();
+    let strategy = config.strategy;
     // Unique per worker so concurrent in-process clusters never share a
     // trace stream (see `trace`'s stream-naming contract).
     let trace_scope = crate::trace::unique_scope(rank);
@@ -301,7 +297,6 @@ where
             .into_iter()
             .map(|ep| {
                 let f = &f;
-                let config = config.clone();
                 s.spawn(move || run_worker(ep, config, f))
             })
             .collect();
@@ -390,7 +385,7 @@ mod tests {
             fusion_buffer: Some(256), // tiny buffer => several groups
             ..TrainConfig::default()
         };
-        let params = train_distributed(4, config.clone(), 20, 32);
+        let params = train_distributed(4, config, 20, 32);
         // All ranks agree exactly.
         for p in &params[1..] {
             assert_eq!(&params[0], p, "ranks diverged");
@@ -412,7 +407,7 @@ mod tests {
             fusion_buffer: Some(1 << 10),
             ..TrainConfig::default()
         };
-        let params = train_distributed(3, config.clone(), 15, 30);
+        let params = train_distributed(3, config, 15, 30);
         let mut reference = build_net(7);
         let data = BlobDataset::new(6, 3, 0.4, 99);
         let _ = train_single_reference(&mut reference, &config, (0..15).map(|s| data.batch(s, 30)));
@@ -798,7 +793,6 @@ mod tests {
                     // deadline is what turns a silent dead neighbor into a
                     // typed error the recovery loop can act on.
                     ep.set_recv_timeout(Some(std::time::Duration::from_millis(500)));
-                    let config = config.clone();
                     s.spawn(move || run_worker(ep, config, worker))
                 })
                 .collect();
@@ -857,7 +851,7 @@ mod tests {
             };
             let ddp = run(ParallelismStrategy::Ddp);
             for strategy in [ParallelismStrategy::Zero1, ParallelismStrategy::Zero2] {
-                let zero = run(strategy.clone());
+                let zero = run(strategy);
                 for rank in 0..world {
                     assert_eq!(
                         ddp[rank].0, zero[rank].0,
@@ -1008,7 +1002,6 @@ mod tests {
                 .into_iter()
                 .map(|ep| {
                     ep.set_recv_timeout(Some(std::time::Duration::from_millis(500)));
-                    let config = config.clone();
                     s.spawn(move || run_worker(ep, config, worker))
                 })
                 .collect();
@@ -1033,7 +1026,7 @@ mod tests {
             fusion_buffer: Some(256),
             ..TrainConfig::default()
         };
-        let params = run_training(3, config.clone(), |handle| {
+        let params = run_training(3, config, |handle| {
             let rank = handle.rank();
             let mut net = build_net(7);
             let mut optim = handle.into_optim(&net);

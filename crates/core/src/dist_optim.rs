@@ -181,8 +181,7 @@ impl DistOptim {
     /// instead of a panic. On `Err` the step — and possibly the previous
     /// step's parameter update — is invalid: roll back to a known-good
     /// snapshot, [`DistOptim::resize_world`], agree on the resume step, and
-    /// retry. Callers that cannot recover use
-    /// [`DistOptim::train_step_or_panic`].
+    /// retry. Callers that cannot recover `.expect(..)` the result.
     ///
     /// # Errors
     ///
@@ -206,25 +205,6 @@ impl DistOptim {
         match self.comm_failed.clone() {
             Some(e) => Err(e),
             None => Ok(loss),
-        }
-    }
-
-    /// Thin panicking wrapper over [`DistOptim::train_step`] for callers
-    /// with no recovery path (single-shot examples, reference runs): any
-    /// collective failure aborts the process with the error message.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any collective failure, or as [`DistOptim::train_step`].
-    pub fn train_step_or_panic(
-        &mut self,
-        net: &mut Sequential,
-        input: &Tensor,
-        labels: &[usize],
-    ) -> f32 {
-        match self.train_step(net, input, labels) {
-            Ok(loss) => loss,
-            Err(e) => panic!("collective failed during training step: {e}"),
         }
     }
 
@@ -395,9 +375,7 @@ impl DistOptim {
 
     /// Forces all outstanding communication to complete and installs the
     /// latest parameters — the paper's `optim.synchronize()` before
-    /// validation (Listing 1, line 12). Canonical `Result`-returning form;
-    /// see [`DistOptim::synchronize_or_panic`] for the unrecoverable-caller
-    /// wrapper.
+    /// validation (Listing 1, line 12).
     ///
     /// On `Err` the installed parameters are not trustworthy (missing
     /// groups were filled with placeholders); roll back to a snapshot after
@@ -442,18 +420,6 @@ impl DistOptim {
         }
     }
 
-    /// Thin panicking wrapper over [`DistOptim::synchronize`] for callers
-    /// with no recovery path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any collective failure, or as [`DistOptim::synchronize`].
-    pub fn synchronize_or_panic(&mut self, net: &mut Sequential) {
-        if let Err(e) = self.synchronize(net) {
-            panic!("collective failed during synchronize: {e}");
-        }
-    }
-
     /// Broadcasts `value` from `root` to all ranks (used to agree on a new
     /// BO-suggested buffer size). Must be called at an iteration boundary
     /// after [`DistOptim::synchronize`], collectively by all ranks.
@@ -474,8 +440,7 @@ impl DistOptim {
     }
 
     /// Synchronizes all ranks. Must be called collectively at an iteration
-    /// boundary. Canonical `Result`-returning form; see
-    /// [`DistOptim::barrier_or_panic`] for the unrecoverable-caller wrapper.
+    /// boundary.
     ///
     /// # Errors
     ///
@@ -497,18 +462,6 @@ impl DistOptim {
                 Err(e)
             }
             other => panic!("unexpected comm result in barrier: {other:?}"),
-        }
-    }
-
-    /// Thin panicking wrapper over [`DistOptim::barrier`] for callers with
-    /// no recovery path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any collective failure, or as [`DistOptim::barrier`].
-    pub fn barrier_or_panic(&mut self) {
-        if let Err(e) = self.barrier() {
-            panic!("barrier failed: {e}");
         }
     }
 

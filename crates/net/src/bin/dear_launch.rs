@@ -28,7 +28,7 @@ options:
   --world N            total number of ranks (required)
   --hosts H            demo only: split the N ranks over H host
                        processes of N/H rank-threads each; intra-host
-                       traffic rides lock-free shared-memory rings and
+                       traffic rides in-process queues and
                        inter-host traffic rides TCP (a TieredEndpoint
                        per rank, host_id = the process's host index);
                        N must divide evenly by H, and the elastic /

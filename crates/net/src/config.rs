@@ -72,7 +72,8 @@ pub struct NetConfig {
     pub handshake_timeout: Duration,
     /// Deadline for [`send`] when a peer's outbox stays full (backpressure
     /// from a stalled peer); also the socket write deadline of the writer
-    /// threads.
+    /// threads, and how long the shm tier's resize gate waits for the
+    /// co-located survivors.
     ///
     /// [`send`]: dear_collectives::Transport::send
     pub send_timeout: Duration,
@@ -193,7 +194,7 @@ impl NetConfig {
             elastic_resize: false,
             host_id: None,
             pin_comm: None,
-            pool_max_buf_bytes: crate::endpoint::POOL_MAX_BUF_BYTES,
+            pool_max_buf_bytes: dear_collectives::BufferPool::DEFAULT_MAX_BUF_BYTES,
             strategy: ParallelismStrategy::Ddp,
             trace: None,
             demo: DemoOptions::default(),

@@ -317,7 +317,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
         ..TrainConfig::default()
     }
     .with_wire(cfg.wire)
-    .with_strategy(cfg.strategy.clone());
+    .with_strategy(cfg.strategy);
     let fusion_hint = train_cfg.fusion_buffer.unwrap_or(0) as f64;
     // Optional throughput measurement over BO-style tuning windows
     // (`tune_window` steps per window, 0 = off). Checkpoint saves are
@@ -423,7 +423,9 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                                 continue;
                             }
                         } else {
-                            optim.synchronize_or_panic(&mut net);
+                            optim
+                                .synchronize(&mut net)
+                                .expect("collective failed during synchronize");
                         }
                         prev_step = snap_step;
                         prev_params = std::mem::replace(&mut snap_params, net.flat_params());
@@ -468,7 +470,9 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                             continue;
                         }
                     } else {
-                        optim.train_step_or_panic(&mut net, &x, &labels);
+                        optim
+                            .train_step(&mut net, &x, &labels)
+                            .expect("collective failed during training step");
                     }
                     if let Some(t) = tuning.as_mut() {
                         if let Some(throughput) = t.on_step() {
@@ -486,7 +490,9 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                         continue;
                     }
                 } else {
-                    optim.synchronize_or_panic(&mut net);
+                    optim
+                        .synchronize(&mut net)
+                        .expect("collective failed during synchronize");
                 }
                 break 'run;
             }
@@ -523,7 +529,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
         world,
         eval_loss,
         params_hash,
-        strategy: cfg.strategy.clone(),
+        strategy: cfg.strategy,
         optim_bytes,
     })
 }

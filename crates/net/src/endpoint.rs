@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{CollectiveError, Message, Transport, WireBuf, WorldChange};
+use dear_collectives::{BufferPool, CollectiveError, Message, Transport, WireBuf, WorldChange};
 use dear_core::trace;
 
 use crate::affinity;
@@ -109,74 +109,6 @@ pub struct PeerStats {
 fn oversize_bytes(wire_bytes: usize) -> Option<u64> {
     let bytes = DATA_BODY_OVERHEAD as u64 + wire_bytes as u64;
     (bytes > MAX_FRAME_BYTES as u64).then_some(bytes)
-}
-
-/// Buffers kept in the shared pool; bounds pool memory at roughly
-/// `POOL_CAP × largest-segment` bytes (matches `LocalEndpoint`).
-const POOL_CAP: usize = 64;
-
-/// Default per-buffer capacity ceiling retained by the pool
-/// ([`NetConfig::pool_max_buf_bytes`]). Sized to hold any sensible
-/// segment; a one-off giant collective no longer pins its high-water
-/// allocation for the rest of the run.
-pub(crate) const POOL_MAX_BUF_BYTES: usize = 4 << 20;
-
-/// Shared reusable wire-byte pool; reader threads take from it for
-/// incoming payloads, writer threads and `recycle_buffer` return to it.
-/// Buffers over `max_buf_bytes` are shrunk on return, so retained memory
-/// decays back to the cap after an outsized collective.
-struct BufferPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-    max_buf_bytes: usize,
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        BufferPool::with_max(POOL_MAX_BUF_BYTES)
-    }
-}
-
-impl BufferPool {
-    fn with_max(max_buf_bytes: usize) -> BufferPool {
-        BufferPool {
-            bufs: Mutex::new(Vec::new()),
-            max_buf_bytes: max_buf_bytes.max(1),
-        }
-    }
-
-    fn take(&self, capacity_bytes: usize) -> Vec<u8> {
-        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
-        match pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.reserve(capacity_bytes);
-                buf
-            }
-            None => Vec::with_capacity(capacity_bytes),
-        }
-    }
-
-    fn recycle(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        if buf.capacity() > self.max_buf_bytes {
-            buf.clear();
-            buf.shrink_to(self.max_buf_bytes);
-        }
-        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    /// Largest retained buffer capacity — test hook for the decay
-    /// guarantee.
-    #[cfg(test)]
-    fn high_water_bytes(&self) -> usize {
-        let pool = self.bufs.lock().expect("buffer pool poisoned");
-        pool.iter().map(Vec::capacity).max().unwrap_or(0)
-    }
 }
 
 /// Commands consumed by a peer's writer thread.
@@ -361,7 +293,7 @@ impl TcpEndpoint {
                 recv_timeout: Mutex::new(cfg.recv_timeout),
                 outboxes: vec![None],
                 inboxes: vec![None],
-                pool: Arc::new(BufferPool::default()),
+                pool: Arc::new(BufferPool::new(cfg.pool_max_buf_bytes)),
                 health: Arc::new(Health::new(1)),
                 counters: Arc::new(vec![PeerCounters::default()]),
                 writers: Vec::new(),
@@ -401,7 +333,7 @@ impl TcpEndpoint {
         tables: MeshTables,
     ) -> Result<TcpEndpoint, NetError> {
         let world = cfg.world;
-        let pool = Arc::new(BufferPool::with_max(cfg.pool_max_buf_bytes));
+        let pool = Arc::new(BufferPool::new(cfg.pool_max_buf_bytes));
         let health = Arc::new(Health::new(world));
         let counters: Arc<Vec<PeerCounters>> =
             Arc::new((0..world).map(|_| PeerCounters::default()).collect());
@@ -1776,27 +1708,6 @@ mod tests {
     /// lets tests drive the far side with raw frames.
     fn endpoint_over(stream: TcpStream, cfg: &NetConfig) -> TcpEndpoint {
         TcpEndpoint::from_mesh(0, cfg, vec![None, Some(stream)], MeshTables::pseudo(2)).unwrap()
-    }
-
-    #[test]
-    fn pool_capacity_decays_after_an_outsized_collective() {
-        let pool = BufferPool::with_max(1024);
-        // A modest buffer is retained with its capacity intact…
-        pool.recycle(Vec::with_capacity(512));
-        assert_eq!(pool.high_water_bytes(), 512);
-        // …but an outsized one is shrunk on return instead of pinning its
-        // high-water allocation in the pool for the rest of the run.
-        let mut big = pool.take(64 * 1024);
-        big.resize(64 * 1024, 7);
-        pool.recycle(big);
-        assert!(
-            pool.high_water_bytes() <= 1024,
-            "pool retained {} bytes past the 1024-byte cap",
-            pool.high_water_bytes()
-        );
-        // Shrunk buffers still serve takes at any size.
-        let again = pool.take(64 * 1024);
-        assert!(again.capacity() >= 64 * 1024);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! through memory at sub-microsecond latency, ranks on different machines
 //! pay the NIC. A [`TieredEndpoint`] composes the two tiers behind the
 //! single [`Transport`] contract, routing **per peer** by host locality:
-//! a message to a co-located rank crosses the [`ShmEndpoint`]'s ring
-//! buffers, anything else goes over the [`TcpEndpoint`]'s mesh. The
+//! a message to a co-located rank crosses the [`ShmEndpoint`]'s
+//! in-process queues, anything else goes over the [`TcpEndpoint`]'s mesh. The
 //! collectives above never know — which is the point: the same ring /
 //! halving-doubling / hierarchical code runs unchanged, and the
 //! hierarchical variants get their intra-node speedup from the transport

@@ -40,7 +40,7 @@ fn dear_equals_reference_across_world_sizes() {
         };
         let steps = 12;
         let global_batch = 24;
-        let params = run_training(world, config.clone(), |handle| {
+        let params = run_training(world, config, |handle| {
             let rank = handle.rank();
             let mut net = build_net(9);
             let mut optim = handle.into_optim(&net);
